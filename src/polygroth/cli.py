@@ -20,7 +20,7 @@ from .constructible import (
     parse_constructible,
 )
 from .errors import EngineError, ParseError, ResourceError, UsageError
-from .euler import chi, chi_b
+from .euler import euler_pair
 from .exactq import format_rat, parse_rat, vec
 from .grothendieck import class_of, ungraded
 from .motivic import in_kernel_psi, parse_semialg, psi, semialg_class
@@ -50,9 +50,11 @@ def _read_input(args) -> str:
 
 
 def _check_dim(n, args):
-    if n > args.max_dim:
+    cap = min(args.max_dim, MAX_AMBIENT)
+    if n > cap:
         raise ResourceError(
-            f"ambient dimension {n} exceeds --max-dim {args.max_dim}")
+            f"ambient dimension {n} exceeds the cap {cap} (--max-dim "
+            f"{args.max_dim}; the engine's hard cap is {MAX_AMBIENT})")
 
 
 def _emit(args, text: str, payload):
@@ -158,9 +160,9 @@ def _cmd_bg(args):
 def _cmd_chi(args):
     C = parse_constructible(_read_input(args))
     _check_dim(C.ambient, args)
-    a = chi(C, args.max_hyperplanes)
-    b = chi_b(C, args.max_hyperplanes)
-    _emit(args, f"chi={a} chi_b={b}", {"chi": a, "chi_b": b})
+    pair = euler_pair(C, args.max_hyperplanes)
+    _emit(args, f"chi={pair.chi} chi_b={pair.chi_b}",
+          {"chi": pair.chi, "chi_b": pair.chi_b})
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ParseError, ResourceError, UsageError
+from .errors import InvariantError, ParseError, ResourceError, UsageError
 from .exactq import (
     Vec,
     dot,
@@ -207,6 +207,40 @@ def eval_point(C: ConstructibleSet, x) -> bool:
         return not ev(expr.arg)
 
     return ev(C.expr)
+
+
+def sign_membership(C: ConstructibleSet, hyperplanes):
+    """Membership of whole arrangement cells, read off their sign vectors.
+
+    Each atom a·x >= b (or > b) of C lies on one of ``hyperplanes``, say the
+    i-th, with a·x - b = o * (a_i·x - b_i) for an orientation o = +-1.  The
+    atom holds on a cell with signs s exactly when o * s_i >= 0 (> 0 when
+    strict), so the returned predicate maps a cell's ``signs`` to C's
+    membership with no rational arithmetic.  ``eval_point`` at the cell's
+    witness gives the same answer.
+    """
+    index = {h: i for i, h in enumerate(hyperplanes)}
+
+    def compile_(expr):
+        if isinstance(expr, Atom):
+            h = hyperplane_of(expr.a, expr.b)
+            if h not in index:
+                raise UsageError(
+                    f"atom {render_expr(expr)} lies on no listed hyperplane")
+            i = index[h]
+            o = 1 if next(c for c in expr.a if c != 0) > 0 else -1
+            if expr.strict:
+                return lambda s: o * s[i] > 0
+            return lambda s: o * s[i] >= 0
+        if isinstance(expr, Not):
+            f = compile_(expr.arg)
+            return lambda s: not f(s)
+        fs = tuple(compile_(e) for e in expr.args)
+        if isinstance(expr, And):
+            return lambda s: all(f(s) for f in fs)
+        return lambda s: any(f(s) for f in fs)
+
+    return compile_(C.expr)
 
 
 def atoms_of(C: ConstructibleSet) -> list[Atom]:
@@ -479,7 +513,9 @@ def cell_complex(hyperplanes, ambient: int,
             h2 = tuple(dot(h, u) for u in basis_z)
             h02 = dot(h, point_z) + h0
             if all(c == 0 for c in h2):
-                assert h02 > 0
+                if h02 <= 0:
+                    raise InvariantError(
+                        "a strict side constraint fails on its own flat")
                 continue
             new_stricts.append(_normalize_functional(h2, h02))
         new_funcs = []

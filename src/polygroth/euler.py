@@ -1,11 +1,22 @@
 """The two Euler characteristics of constructible sets.
 
-``chi`` is computed by cell decomposition: a relatively open convex cell of
-dimension d is homeomorphic to R^d and contributes (-1)^d, so chi(C) is the
-signed cell count of C inside the arrangement of its own hyperplanes.  The
-bounded variant ``chi_b`` clips C to the box [-g, g]^n for a g chosen past
-every 0-dimensional intersection of C's hyperplanes, where the value has
-stabilized.
+Both come from one pass over the arrangement of C's own hyperplanes.  A
+relatively open convex cell of dimension d is homeomorphic to R^d and
+contributes (-1)^d to ``chi``.  Membership of a cell in C is read off its
+sign vector (``sign_membership``), not from its witness.
+
+For ``chi_b``, let L be the arrangement's lineality space, of dimension ell.
+Every cell closure is a pointed polyhedron plus L.  Möbius inversion over
+its face lattice, with chi_b = 1 on closed nonempty polyhedra, gives a cell
+of dimension d the contribution (-1)^(d - ell) when the recession cone of
+its closure is L, and 0 otherwise.  That recession cone is the union of the
+cells of the central arrangement {a·x = 0} of the distinct normals whose
+signs tau satisfy tau_c(i) in {0, s_i} for every hyperplane i, so it
+exceeds L exactly when such a central cell of dimension ell + 1 exists.
+
+``gamma_star`` and ``box_clip`` compute chi_b the slow way, as chi of C
+clipped to a stable box; they remain as the oracle behind the
+``gamma_doubling_stability`` check and the tests.
 """
 
 from __future__ import annotations
@@ -20,9 +31,10 @@ from .constructible import (
     Atom,
     ConstructibleSet,
     cell_complex,
-    eval_point,
+    complex_of,
     from_polyhedron,
     hyperplanes_of,
+    sign_membership,
 )
 from .polyhedron import (
     HPolyhedron,
@@ -39,15 +51,45 @@ class EulerPair:
     chi_b: int
 
 
+def _cells_in(C: ConstructibleSet, max_hyperplanes: int):
+    """C's own arrangement and the cells of it that lie in C."""
+    cc = complex_of(C, max_hyperplanes)
+    member = sign_membership(C, cc.hyperplanes)
+    return cc, [cell for cell in cc.cells if member(cell.signs)]
+
+
 def chi(C: ConstructibleSet,
         max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES) -> int:
     """Compactly supported Euler characteristic, exactly."""
-    cc = cell_complex(hyperplanes_of(C), C.ambient, max_hyperplanes)
-    return sum((-1) ** cell.dim
-               for cell in cc.cells if eval_point(C, cell.witness))
+    _, cells = _cells_in(C, max_hyperplanes)
+    return sum((-1) ** cell.dim for cell in cells)
 
 
-_gamma_cache: dict = {}
+def chi_b(C: ConstructibleSet,
+          max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES) -> int:
+    """Bounded Euler characteristic, by per-cell contributions."""
+    return euler_pair(C, max_hyperplanes).chi_b
+
+
+def euler_pair(C: ConstructibleSet,
+               max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES) -> EulerPair:
+    """(chi, chi_b) from one pass over C's arrangement."""
+    cc, cells = _cells_in(C, max_hyperplanes)
+    central = cell_complex({(a, 0) for a, _ in cc.hyperplanes}, cc.ambient,
+                           max_hyperplanes)
+    column = {a: j for j, (a, _) in enumerate(central.hyperplanes)}
+    cols = [column[a] for a, _ in cc.hyperplanes]
+    ell = min(cell.dim for cell in central.cells)
+    rays = [cell.signs for cell in central.cells if cell.dim == ell + 1]
+
+    def bounded_mod_lineality(s):
+        return not any(all(t[j] == 0 or t[j] == si for j, si in zip(cols, s))
+                       for t in rays)
+
+    return EulerPair(
+        sum((-1) ** cell.dim for cell in cells),
+        sum((-1) ** (cell.dim - ell)
+            for cell in cells if bounded_mod_lineality(cell.signs)))
 
 
 def gamma_star(C: ConstructibleSet) -> Fraction:
@@ -65,10 +107,6 @@ def gamma_star(C: ConstructibleSet) -> Fraction:
 
     hps = hyperplanes_of(C)
     n = C.ambient
-    key = (n, tuple(hps))
-    hit = _gamma_cache.get(key)
-    if hit is not None:
-        return hit
     best = Fraction(0)
     if n > 0:
         lifted_h = [(a + (0,), b) for a, b in hps]
@@ -94,11 +132,7 @@ def gamma_star(C: ConstructibleSet) -> Fraction:
                     g = abs(solved[0][n])
                     if g > best:
                         best = g
-    out = best + 1
-    if len(_gamma_cache) > 256:
-        _gamma_cache.clear()
-    _gamma_cache[key] = out
-    return out
+    return best + 1
 
 
 def box_clip(C: ConstructibleSet, gamma: Fraction) -> ConstructibleSet:
@@ -111,19 +145,6 @@ def box_clip(C: ConstructibleSet, gamma: Fraction) -> ConstructibleSet:
         atoms.append(Atom(tuple(e), -gamma))
         atoms.append(Atom(tuple(-c for c in e), -gamma))
     return ConstructibleSet(n, And((C.expr,) + tuple(atoms)))
-
-
-def chi_b(C: ConstructibleSet,
-          max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES) -> int:
-    """Bounded Euler characteristic: chi of C clipped to the stable box."""
-    if C.ambient == 0:
-        return chi(C, max_hyperplanes)
-    return chi(box_clip(C, gamma_star(C)), max_hyperplanes)
-
-
-def euler_pair(C: ConstructibleSet,
-               max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES) -> EulerPair:
-    return EulerPair(chi(C, max_hyperplanes), chi_b(C, max_hyperplanes))
 
 
 def chi_polyhedron_closed_form(P: HPolyhedron) -> EulerPair:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, InvariantError, UsageError
 
 Rat = Fraction
 Vec = tuple[Fraction, ...]
@@ -160,7 +160,8 @@ def nullspace(rows, n: int) -> list[Vec]:
     """Basis of {v : A v = 0}."""
     rows = list(rows)
     solved = gauss_solve(rows, [_ZERO] * len(rows), n)
-    assert solved is not None
+    if solved is None:
+        raise InvariantError("a homogeneous system came out inconsistent")
     return solved[1]
 
 
@@ -324,7 +325,8 @@ def lp_optimize(constraints, objective, sense: str = "max") -> LPResult:
         for c in art_cols:
             obj[c] = _ZERO
         status, zval, _ = _bland_min(tab, rhs, obj, basis, zval)
-        assert status == "optimal"
+        if status != "optimal":
+            raise InvariantError(f"phase one ended {status}, not optimal")
         if zval > 0:
             return LPResult("infeasible")
         # pivot surviving artificials out of the basis; drop redundant rows
@@ -385,7 +387,8 @@ def lp_feasible(constraints, n: int) -> Optional[Vec]:
     res = lp_optimize(_check_constraints(constraints, n), zero_vec(n), "min")
     if res.status == "infeasible":
         return None
-    assert res.point is not None
+    if res.point is None:
+        raise InvariantError("a feasible LP returned no point")
     return res.point
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .constructible import DEFAULT_MAX_HYPERPLANES, ConstructibleSet
 from .errors import DomainError, UsageError
-from .euler import chi, chi_b, chi_polyhedron_closed_form
+from .euler import chi, chi_polyhedron_closed_form, euler_pair
 from .exactq import mat_rank, vec
 from .polyhedron import HPolyhedron, is_empty
 
@@ -191,7 +191,8 @@ def class_of(C: ConstructibleSet, n: int = None,
         raise UsageError("a set is graded by its ambient dimension")
     if n == 0:
         return GradedClass(chi(C, max_hyperplanes))
-    return GradedClass(0, ((n, chi(C, max_hyperplanes), chi_b(C, max_hyperplanes)),))
+    pair = euler_pair(C, max_hyperplanes)
+    return GradedClass(0, ((n, pair.chi, pair.chi_b),))
 
 
 def class_of_polyhedron(P: HPolyhedron,

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, ParseError, ResourceError, UsageError
+from .errors import (
+    DomainError,
+    InvariantError,
+    ParseError,
+    ResourceError,
+    UsageError,
+)
 from .exactq import (
     Vec,
     dot,
@@ -230,7 +236,8 @@ def _face_feasibility(Q: HPolyhedron, T: frozenset[int]):
     res = lp_optimize(cons, eps_dir, "max")
     if res.status == "infeasible":
         return None
-    assert res.status == "optimum"
+    if res.status != "optimum":
+        raise InvariantError(f"the bounded slack LP ended {res.status}")
     return res.point[:n], res.point[n]
 
 
@@ -261,7 +268,9 @@ def _complete_tight(Q: HPolyhedron, T: frozenset[int]):
             if res.status == "optimum" and res.value == b:
                 tight.add(i)
         point, eps = _face_feasibility(Q, frozenset(tight))
-        assert eps > 0
+        if not eps > 0:
+            raise InvariantError(
+                "a completed tight set has no relative interior point")
     rows = [vec(Q.rows[i][0]) for i in tight]
     fdim = Q.ambient - (mat_rank(rows, Q.ambient) if rows else 0)
     return frozenset(tight), point, fdim
@@ -284,7 +293,8 @@ def faces(P: HPolyhedron) -> list[Face]:
     Q = irredundant(P)
     m = len(Q.rows)
     root = _complete_tight(Q, frozenset())
-    assert root is not None
+    if root is None:
+        raise InvariantError("a nonempty polyhedron has no minimal tight set")
     found = {root[0]: root}
     queue = [root[0]]
     while queue:
@@ -335,7 +345,9 @@ def cone_subset(C: HPolyhedron, D: HPolyhedron) -> bool:
         res = lp_optimize(cons, vec(d), "min")
         if res.status == "unbounded":
             return False
-        assert res.status == "optimum" and res.value == 0
+        if res.status != "optimum" or res.value != 0:
+            raise InvariantError(
+                "a cone LP bounded below has a nonzero optimum")
     return True
 
 
@@ -379,7 +391,9 @@ def is_relatively_bounded(P: HPolyhedron, F: Face) -> bool:
         res = lp_optimize(cons, vec(a), "max")
         if res.status == "unbounded":
             return False
-        assert res.status == "optimum" and res.value == 0
+        if res.status != "optimum" or res.value != 0:
+            raise InvariantError(
+                "a cone LP bounded above has a nonzero optimum")
     return True
 
 
@@ -435,7 +449,8 @@ def minimal_face_point(C: HPolyhedron) -> Vec:
     eq_rhs = list(rhs)
     for j in range(n):
         solved = gauss_solve(eq_rows, eq_rhs, n)
-        assert solved is not None
+        if solved is None:
+            raise InvariantError("the face's tight rows came out inconsistent")
         _, basis = solved
         if any(v[j] != 0 for v in basis):
             e = [Fraction(0)] * n
@@ -443,7 +458,8 @@ def minimal_face_point(C: HPolyhedron) -> Vec:
             eq_rows.append(e)
             eq_rhs.append(Fraction(0))
     point = gauss_solve(eq_rows, eq_rhs, n)[0]
-    assert contains(C, point)
+    if not contains(C, point):
+        raise InvariantError("the computed face point lies outside the set")
     return point
 
 

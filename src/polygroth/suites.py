@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from .constructible import And, Atom, ConstructibleSet, Not, Or, atom
+from .errors import InvariantError
 from .exactq import Vec, gauss_solve, vec
 from .polyhedron import HPolyhedron, contains, is_empty
 
@@ -225,7 +226,8 @@ def exterior_points(rng: random.Random, P: HPolyhedron,
         av = vec(a)
         depth = Fraction(rng.randint(1, 5), rng.choice([1, 2]))
         solved = gauss_solve([av], [b - depth], n)
-        assert solved is not None
+        if solved is None:
+            raise InvariantError("a single nonzero row came out inconsistent")
         x, basis = solved
         for v in basis:
             x = tuple(xi + rng.randint(-3, 3) * vi for xi, vi in zip(x, v))

@@ -170,13 +170,8 @@ def check_contract_visible():
 
 
 def check_closed_form_agreement():
-    # the boxed chi_b arrangement of a 4-dimensional polytope (8 facet + 8
-    # box hyperplanes) exceeds the 14-hyperplane cell cap, so the oracle
-    # comparison runs on the members whose boxed arrangement fits
     ran = 0
     for name, Q in standard_polyhedra():
-        if Q.ambient > 3 and Q.rows:
-            continue
         closed = class_of_polyhedron_closed_form(Q)
         oracle = class_of_polyhedron(Q)
         if closed != oracle:

@@ -243,6 +243,23 @@ def test_max_dim_flag(capsys):
     assert code == 3
 
 
+def test_max_dim_flag_above_engine_cap(capsys):
+    code, out, err = run_cli(capsys, "chi", "--max-dim", "9",
+                             "-e", "dim 7; 0 >= 0")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "hard cap is 6" in err
+
+
+def test_chi_own_hyperplanes_count_against_cap(capsys):
+    # 3 and 7 hyperplanes: within the cap of 14, so answered exactly
+    code, out, _ = run_cli(capsys, "chi", "-e", "dim 6; x1>=0 & x2>=0 & x3>=0")
+    assert code == 0 and out == "chi=0 chi_b=1\n"
+    code, out, _ = run_cli(
+        capsys, "chi", "-e",
+        "dim 4; x1>=0 & x2>=0 & x3>=0 & x4>=0 & x1+x2+x3+x4<=1 & x1<=2 & x2<=2")
+    assert code == 0 and out == "chi=1 chi_b=1\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polygroth.cli", "chi", "-e", "dim 1; x1 >= 0"],

@@ -7,8 +7,11 @@ from polygroth.constructible import (
     ConstructibleSet,
     Not,
     Or,
+    complex_of,
+    eval_point,
     parse_constructible,
     product,
+    sign_membership,
 )
 from polygroth.euler import (
     EulerPair,
@@ -21,6 +24,7 @@ from polygroth.euler import (
     gamma_star,
 )
 from polygroth.polyhedron import HPolyhedron
+from polygroth.suites import product_pairs, scissor_pairs
 
 
 def cs(n, expr):
@@ -65,8 +69,12 @@ def test_chi_b_punctured_line():
 def test_chi_of_point_and_empty():
     pt = parse_constructible("dim 1; x1 = 0")
     assert euler_pair(pt) == EulerPair(1, 1)
-    assert euler_pair(ConstructibleSet.empty(2)) == EulerPair(0, 0)
-    assert euler_pair(ConstructibleSet.space(0)) == EulerPair(1, 1)
+    # flats of positive dimension: chi = (-1)^dim, chi_b = 1
+    assert euler_pair(parse_constructible("dim 2; x1 = 0")) == EulerPair(-1, 1)
+    assert euler_pair(parse_constructible("dim 3; x1 = 0 & x2 = 1")) == EulerPair(-1, 1)
+    for n in range(0, 4):
+        assert euler_pair(ConstructibleSet.empty(n)) == EulerPair(0, 0)
+        assert euler_pair(ConstructibleSet.space(n)) == EulerPair((-1) ** n, 1)
 
 
 # -- gamma_star ----------------------------------------------------------------
@@ -198,3 +206,30 @@ def test_scissor_additivity_small():
         rest = C - D
         assert chi(C) == chi(D) + chi(rest)
         assert chi_b(C) == chi_b(D) + chi_b(rest)
+
+
+# -- the per-cell pass against its oracles ------------------------------------
+
+
+def _oracle_slice():
+    """About 150 seeded sets: scissor triples and products, dims 1-4."""
+    rng = random.Random(20240611)
+    sets = []
+    for C, D in scissor_pairs(rng, 40):
+        sets += [C, D, C - D]
+    sets += [product(C, D) for C, D in product_pairs(rng, 30)]
+    return sets
+
+
+def test_chi_b_matches_boxed_oracle():
+    for C in _oracle_slice():
+        assert chi_b(C) == chi(box_clip(C, gamma_star(C))), C
+
+
+def test_sign_membership_matches_eval_point():
+    for C in _oracle_slice():
+        cc = complex_of(C)
+        member = sign_membership(C, cc.hyperplanes)
+        for cell in cc.cells:
+            assert member(cell.signs) == eval_point(C, cell.witness), (C, cell)
+
