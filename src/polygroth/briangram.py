@@ -5,6 +5,13 @@ functions of its tangent cones along the nonempty relatively bounded faces,
 with sign (-1)^(dim F + ell); for polytopes this runs over all faces with
 sign (-1)^(dim F).  Verification is symbolic: both sides are constant on
 the cells of the arrangement of the parent's facet hyperplanes.
+
+Everything else is read off the face lattice.  The relatively bounded faces
+come from ``polyhedron.relatively_bounded_faces``, and the unions of faces
+whose Euler characteristic the paper's contractibility statements pin are
+face sums: a set of closed faces that is closed under taking subfaces is the
+disjoint union of their relative interiors, and the relative interior of a
+d-face has chi (-1)^d.
 """
 
 from __future__ import annotations
@@ -16,23 +23,19 @@ from .constructible import (
     Atom,
     ConstructibleSet,
     DEFAULT_MAX_HYPERPLANES,
-    Or,
     SignedPolyCombo,
     functions_equal,
 )
 from .errors import DomainError
-from .euler import chi
-from .exactq import vec
+from .exactq import dot, vec
 from .polyhedron import (
     Face,
     HPolyhedron,
     contains,
-    faces,
     irredundant,
     is_empty,
-    is_relatively_bounded,
-    is_visible,
     recession,
+    relatively_bounded_faces,
     tangent_cone,
 )
 
@@ -64,13 +67,9 @@ def bg_decompose(P: HPolyhedron) -> BGDecomposition:
         return BGDecomposition(P, 0, ())
     Q = irredundant(P)
     ell = recession(Q).ell
-    terms = []
-    for f in faces(Q):
-        if not is_relatively_bounded(Q, f):
-            continue
-        sign = (-1) ** (f.dim + ell)
-        terms.append(BGTerm(f, sign, tangent_cone(Q, f)))
-    return BGDecomposition(Q, ell, tuple(terms))
+    terms = tuple(BGTerm(f, (-1) ** (f.dim + ell), tangent_cone(Q, f))
+                  for f in relatively_bounded_faces(Q))
+    return BGDecomposition(Q, ell, terms)
 
 
 def bg_verify(P: HPolyhedron,
@@ -92,31 +91,23 @@ def face_constructible(F: Face) -> ConstructibleSet:
     return ConstructibleSet(parent.ambient, And(tuple(atoms)))
 
 
-def _relatively_bounded_faces(P: HPolyhedron):
-    if is_empty(P):
-        raise DomainError("the empty polyhedron has no faces")
-    Q = irredundant(P)
-    return Q, [f for f in faces(Q) if is_relatively_bounded(Q, f)]
-
-
-def bounded_union_chi(P: HPolyhedron,
-                      max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES) -> int:
+def bounded_union_chi(P: HPolyhedron) -> int:
     """chi of the union of the relatively bounded faces; equals (-1)^ell."""
-    Q, bounded = _relatively_bounded_faces(P)
-    union = ConstructibleSet(
-        Q.ambient, Or(tuple(face_constructible(f).expr for f in bounded)))
-    return chi(union, max_hyperplanes)
+    return sum((-1) ** f.dim for f in relatively_bounded_faces(P))
 
 
-def visible_union_chi(P: HPolyhedron, x,
-                      max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES) -> int:
+def visible_union_chi(P: HPolyhedron, x) -> int:
     """chi of the union of the relatively bounded faces visible from the
-    exterior point x; equals (-1)^ell."""
+    exterior point x; equals (-1)^ell.
+
+    A face is visible iff x violates one of its tangent cone's rows, the
+    rows tight on it.  A subface has more tight rows, so the visible faces
+    are closed under taking subfaces.
+    """
     x = vec(x)
     if contains(P, x):
         raise DomainError("visibility is defined for exterior points only")
-    Q, bounded = _relatively_bounded_faces(P)
-    visible = [f for f in bounded if is_visible(Q, f, x)]
-    union = ConstructibleSet(
-        Q.ambient, Or(tuple(face_constructible(f).expr for f in visible)))
-    return chi(union, max_hyperplanes)
+    bounded = relatively_bounded_faces(P)
+    violated = {i for i, (a, b) in enumerate(bounded[0].parent.rows)
+                if dot(vec(a), x) < b}
+    return sum((-1) ** f.dim for f in bounded if f.tight & violated)

@@ -2,14 +2,17 @@
 
 One subcommand per engine surface; input comes from a file argument or an
 inline ``-e`` expression, never both.  Exit codes: 0 success, 2 parse or
-usage errors, 3 resource-cap errors; ``verify-suite`` exits 1 when a check
-fails.  Output is byte-deterministic for a fixed input.
+usage errors, 3 resource-cap errors and output that cannot be written;
+``verify-suite`` exits 1 when a check fails.  Output is byte-deterministic
+for a fixed input.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .briangram import bg_decompose
@@ -58,10 +61,24 @@ def _check_dim(n, args):
 
 
 def _emit(args, text: str, payload):
+    if sys.stdout is None:  # the process started with stdout closed
+        raise OSError(errno.EBADF, "standard output is closed")
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
+    sys.stdout.flush()  # a failed write surfaces here, inside main
+
+
+def _discard_stdout():
+    """Point stdout's descriptor at the null device, so that the flush at
+    interpreter exit does not fail a second time on a broken stream."""
+    try:
+        fd = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(fd, sys.stdout.fileno())
+        os.close(fd)
+    except (AttributeError, OSError, ValueError):
+        pass  # a stream without a descriptor has nothing left to flush
 
 
 def _row_json(row):
@@ -360,6 +377,10 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"polygroth: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # stdout is closed, full or otherwise unwritable
+        print(f"polygroth: cannot write output: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return 3
 
 
 if __name__ == "__main__":

@@ -32,9 +32,10 @@ from .exactq import (
     vscale,
     zero_vec,
 )
-from .polyhedron import HPolyhedron, canonical, intersect, is_empty
+from .polyhedron import HPolyhedron, canonical, intersect, is_empty, parse_ambient
 
 DEFAULT_MAX_HYPERPLANES = 14
+MAX_NESTING = 100  # '!' and '(' levels in one expression
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -241,11 +242,6 @@ def sign_membership(C: ConstructibleSet, hyperplanes):
         return lambda s: any(f(s) for f in fs)
 
     return compile_(C.expr)
-
-
-def atoms_of(C: ConstructibleSet) -> list[Atom]:
-    """Distinct atoms in first-occurrence order."""
-    return list(dict.fromkeys(_walk_atoms(C.expr)))
 
 
 Hyperplane = tuple[tuple[int, ...], Fraction]
@@ -675,6 +671,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.what = what
+        self.depth = 0  # open '!' and '(' levels, capped at MAX_NESTING
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -697,7 +694,7 @@ def parse_constructible(text: str) -> ConstructibleSet:
     ntok = p.take("num")
     if "/" in ntok.text:
         raise ParseError("ambient dimension must be an integer", ntok.line, ntok.col)
-    n = int(ntok.text)
+    n = parse_ambient(ntok.text)
     p.take("punct", ";")
     expr = _parse_or(p, n)
     tok = p.peek()
@@ -735,15 +732,20 @@ def _parse_and(p: _Parser, n: int) -> Expr:
 
 def _parse_unary(p: _Parser, n: int) -> Expr:
     tok = p.peek()
+    if tok.text not in ("!", "("):
+        return _parse_atom(p, n)
+    p.take()
+    p.depth += 1
+    if p.depth > MAX_NESTING:
+        raise ResourceError(f"line {tok.line}, col {tok.col}: expression "
+                            f"nested deeper than {MAX_NESTING} levels")
     if tok.text == "!":
-        p.take()
-        return Not(_parse_unary(p, n))
-    if tok.text == "(":
-        p.take()
-        inner = _parse_or(p, n)
+        out = Not(_parse_unary(p, n))
+    else:
+        out = _parse_or(p, n)
         p.take("punct", ")")
-        return inner
-    return _parse_atom(p, n)
+    p.depth -= 1
+    return out
 
 
 def _parse_linsum(p: _Parser, n: int):

@@ -79,10 +79,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vscale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 

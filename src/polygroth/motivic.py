@@ -21,6 +21,7 @@ from .constructible import ConstructibleSet, parse_constructible
 from .errors import FragmentError, InvariantError, ParseError, UsageError
 from .exactq import parse_rat
 from .grothendieck import GradedClass, class_of
+from .polyhedron import parse_ambient
 
 
 class IntPoly:
@@ -356,9 +357,9 @@ def parse_semialg(text: str) -> SemialgDesc:
     if not statements or not statements[0].strip().startswith("torus"):
         raise ParseError("expected a 'torus n;' header", 1, 1)
     head = statements[0].strip().split()
-    if len(head) != 2 or not head[1].isdigit():
+    if len(head) != 2 or not (head[1].isascii() and head[1].isdigit()):
         raise ParseError("expected a 'torus n;' header", 1, 1)
-    n = int(head[1])
+    n = parse_ambient(head[1])
     extra_points = 0
     body_exprs = []
     for stmt in statements[1:]:

@@ -99,12 +99,6 @@ class Face:
     dim: int
     witness: Vec
 
-    def as_polyhedron(self) -> HPolyhedron:
-        rows = list(self.parent.rows)
-        extra = [((tuple(-c for c in a)), -b)
-                 for i, (a, b) in enumerate(self.parent.rows) if i in self.tight]
-        return HPolyhedron(self.parent.ambient, rows + extra)
-
 
 @dataclass(frozen=True)
 class RecessionData:
@@ -126,7 +120,8 @@ def contains(P: HPolyhedron, x) -> bool:
 
 
 def is_empty(P: HPolyhedron) -> bool:
-    if not P.rows:
+    # only nonempty sets enter the irredundant cache
+    if not P.rows or P in _irr_cache:
         return False
     return lp_feasible([(vec(a), b) for a, b in P.rows], P.ambient) is None
 
@@ -178,11 +173,15 @@ def irredundant(P: HPolyhedron) -> HPolyhedron:
         else:
             i += 1
     out = HPolyhedron(P.ambient, kept)
+    _remember_irredundant(P, out)
+    return out
+
+
+def _remember_irredundant(P: HPolyhedron, out: HPolyhedron):
     if len(_irr_cache) > 512:
         _irr_cache.clear()
     _irr_cache[P] = out
     _irr_cache[out] = out
-    return out
 
 
 def implied_equalities(P: HPolyhedron) -> frozenset[int]:
@@ -397,15 +396,40 @@ def is_relatively_bounded(P: HPolyhedron, F: Face) -> bool:
     return True
 
 
+def relatively_bounded_faces(P: HPolyhedron) -> list[Face]:
+    """The nonempty relatively bounded faces of P, in the order of faces.
+
+    Read off the face lattice alone, with no LP once it is known.  Every
+    minimal face has dimension ell = dim Lin(P) and is relatively bounded.
+    Modulo Lin(P) a face F is pointed, so it is bounded iff it has no
+    unbounded edge (Minkowski-Weyl): an (ell+1)-face G ⊆ F that contains
+    exactly one minimal face.  ``is_relatively_bounded`` is the LP oracle.
+    """
+    _require_nonempty(P, "relatively_bounded_faces")
+    fs = faces(irredundant(P))
+    ell = fs[0].dim
+    minimal = [f.tight for f in fs if f.dim == ell]
+    rays = [g.tight for g in fs if g.dim == ell + 1
+            and sum(1 for t in minimal if t >= g.tight) == 1]
+    return [f for f in fs if not any(r >= f.tight for r in rays)]
+
+
 # ---------------------------------------------------------------------------
 # tangent cones and visibility
 
 
 def tangent_cone(P: HPolyhedron, F: Face) -> HPolyhedron:
     """Cone of P along F: the rows of the irredundant description that are
-    tight on F, kept as inequalities."""
+    tight on F, kept as inequalities.
+
+    No row of an irredundant description is implied by the others, so none
+    is implied by fewer of them: the cone, whose rows keep the parent's
+    sorted order, is its own irredundant description, and it is nonempty.
+    """
     rows = [F.parent.rows[i] for i in sorted(F.tight)]
-    return HPolyhedron(F.parent.ambient, rows)
+    cone = HPolyhedron(F.parent.ambient, rows)
+    _remember_irredundant(cone, cone)
+    return cone
 
 
 def is_visible(P: HPolyhedron, F: Face, x) -> bool:
@@ -465,6 +489,20 @@ def minimal_face_point(C: HPolyhedron) -> Vec:
 
 # ---------------------------------------------------------------------------
 # text format: one constraint per line, "a1 a2 ... an >= b"
+
+
+def parse_ambient(digits: str) -> int:
+    """The ambient dimension n of a text header (``dim n``, ``torus n``).
+
+    Capped at MAX_AMBIENT before anything is sized by n, and read without
+    converting an arbitrarily long digit string.
+    """
+    n = digits.lstrip("0") or "0"
+    if len(n) > len(str(MAX_AMBIENT)) or int(n) > MAX_AMBIENT:
+        shown = n if len(n) <= 20 else n[:20] + "..."
+        raise ResourceError(f"ambient dimension {shown} exceeds the engine's "
+                            f"limit: the hard cap is {MAX_AMBIENT}")
+    return int(n)
 
 
 def parse_polyhedron(text: str, ambient: Optional[int] = None) -> HPolyhedron:

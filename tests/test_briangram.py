@@ -10,10 +10,26 @@ from polygroth.briangram import (
     face_constructible,
     visible_union_chi,
 )
-from polygroth.constructible import SignedPolyCombo, functions_equal
+from polygroth import exactq, polyhedron
+from polygroth.constructible import (
+    ConstructibleSet,
+    Or,
+    SignedPolyCombo,
+    functions_equal,
+)
 from polygroth.errors import DomainError
+from polygroth.euler import chi
 from polygroth.grothendieck import class_of_polyhedron
-from polygroth.polyhedron import HPolyhedron, recession
+from polygroth.polyhedron import (
+    HPolyhedron,
+    faces,
+    irredundant,
+    is_empty,
+    is_relatively_bounded,
+    is_visible,
+    recession,
+    relatively_bounded_faces,
+)
 from polygroth.suites import (
     exterior_points,
     nonempty_standard_polyhedra,
@@ -158,3 +174,64 @@ def test_face_constructible_members():
     for f in faces(Q):
         C = face_constructible(f)
         assert eval_point(C, f.witness)
+
+
+# -- the face-lattice reads against the LP and cell-walk oracles ------------------
+
+
+# simplices and cones whose lineality space has dimension 1 or 2
+LINEALITY_CASES = [
+    P(3, [((1, 0, -1), 0), ((0, 1, -1), 0), ((-1, -1, 2), -1)]),
+    P(3, [((1, 0, -1), 0), ((0, 1, 1), 1)]),
+    P(4, [((1, -1, 0, 0), 0), ((0, 1, -1, 0), 0), ((0, 0, 1, -1), 0),
+          ((-1, 0, 0, 1), -1)]),
+    P(4, [((1, 1, 0, -1), 0), ((0, 0, 1, 0), 0), ((-1, -1, -1, 1), -1)]),
+    P(4, [((1, 1, 0, 0), 1), ((0, 1, 1, 0), -1), ((0, 0, 1, 1), 2)]),
+    P(4, [((1, 1, 0, 0), 0), ((0, 0, 1, 1), 0)]),
+]
+
+
+def _union_chi(Q, chosen):
+    """chi of a union of closed faces, walked on the facet arrangement."""
+    expr = Or(tuple(face_constructible(f).expr for f in chosen))
+    return chi(ConstructibleSet(Q.ambient, expr))
+
+
+def test_face_lattice_reads_match_oracles():
+    rng = random.Random(26)
+    inputs = [Q for _, Q in nonempty_standard_polyhedra()] + LINEALITY_CASES
+    for k in range(24):
+        Q = random_polyhedron(rng, 1 + k % 3)
+        if not is_empty(Q):
+            inputs.append(Q)
+    for Q in inputs:
+        R = irredundant(Q)
+        lp = [f for f in faces(R) if is_relatively_bounded(R, f)]
+        assert relatively_bounded_faces(Q) == lp, Q
+        if len(R.rows) > 6:
+            continue  # keeps the cell walks of the oracle small
+        assert bounded_union_chi(Q) == _union_chi(R, lp), Q
+        for x in exterior_points(rng, Q, 2):
+            visible = [f for f in lp if is_visible(R, f, x)]
+            assert visible_union_chi(Q, x) == _union_chi(R, visible), (Q, x)
+
+
+def test_face_lattice_reads_make_no_lp(monkeypatch):
+    cube3 = dict(standard_polyhedra())["cube3"]
+    cases = [(cube3, [2, F(1, 2), F(1, 2)]), (STRIP, [0, -1])]
+    for Q, _ in cases:
+        faces(irredundant(Q))
+    calls = []
+    real = exactq.lp_optimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactq, "lp_optimize", counted)
+    monkeypatch.setattr(polyhedron, "lp_optimize", counted)
+    for Q, x in cases:
+        relatively_bounded_faces(Q)
+        bounded_union_chi(Q)
+        visible_union_chi(Q, x)
+    assert calls == []

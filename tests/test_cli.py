@@ -250,6 +250,40 @@ def test_max_dim_flag_above_engine_cap(capsys):
     assert err.count("\n") == 1 and "hard cap is 6" in err
 
 
+def test_header_dimension_capped_before_allocation(capsys):
+    huge = "99999999999999999999"
+    for argv in (["chi", "-e", f"dim {huge}; 0>=0"],
+                 ["motivic", "-e", f"torus {huge}; val(x1) >= 0;"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "hard cap is 6" in err
+
+
+def test_nesting_depth_capped(capsys):
+    code, out, err = run_cli(capsys, "chi", "-e", "dim 1; " + "!" * 1200 + "x1 >= 0")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "nested deeper" in err
+    deep = "(" * 50 + "!" * 50 + "x1 >= 0" + ")" * 50
+    code, out, _ = run_cli(capsys, "chi", "-e", f"dim 1; {deep}")
+    assert code == 0 and out == "chi=0 chi_b=1\n"
+
+
+def test_stdout_write_error_exit_code(capsys, monkeypatch):
+    class FullStdout:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(["cells", "-e", "dim 1; x1 >= 0"])
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "polygroth: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_chi_own_hyperplanes_count_against_cap(capsys):
     # 3 and 7 hyperplanes: within the cap of 14, so answered exactly
     code, out, _ = run_cli(capsys, "chi", "-e", "dim 6; x1>=0 & x2>=0 & x3>=0")

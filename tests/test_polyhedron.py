@@ -258,6 +258,20 @@ def test_tangent_cone_contains_parent():
                 assert set(tc.rows) == set(f.parent.rows)
 
 
+def test_tangent_cone_is_its_own_irredundant_description():
+    # tangent_cone enters the irredundant cache without an LP; the LP filter,
+    # run on the same rows in reverse order (a different cache key), agrees
+    from polygroth.suites import nonempty_standard_polyhedra
+    for name, Q in nonempty_standard_polyhedra():
+        if Q.ambient > 3:
+            continue
+        for f in faces(irredundant(Q)):
+            tc = tangent_cone(Q, f)
+            reordered = HPolyhedron(tc.ambient, tc.rows[::-1])
+            if len(tc.rows) > 1:
+                assert irredundant(reordered) == tc, (name, f.tight)
+
+
 def test_tangent_cone_recession_grows():
     for Q in (SQUARE, QUADRANT, STRIP):
         rp = recession(Q).rec
