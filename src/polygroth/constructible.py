@@ -620,15 +620,16 @@ def functions_equal(f: SignedPolyCombo, g: SignedPolyCombo,
 #   dim 2; 2x1 - 3x2 >= 5/2 & (x1 > 0 | !(x2 >= 1)) \ x1 >= 3
 #
 # Connectives: ! (not), & (and), \ (difference), | (or), with that
-# precedence, tightest first.  Variables are x1..xn.
+# precedence, tightest first.  Variables are x1..xn.  The valuation DSL of
+# ``motivic`` shares all of this but the reader for one side of an atom.
 
 
 _TOKEN_SPEC = [
     ("num", r"\d+(?:/\d+)?"),
     ("var", r"x\d+"),
-    ("dim", r"dim\b"),
+    ("word", r"[A-Za-z_]\w*"),
     ("op", r">=|<=|=|>|<"),
-    ("punct", r"[-+*;()&|!\\]"),
+    ("punct", r"[-+*^;()&|!\\]"),
     ("ws", r"[ \t\r\n]+"),
 ]
 
@@ -667,10 +668,13 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, text: str, what: str = "expression"):
+    """Recursive descent over one token list; ``side(p, n)`` reads one side
+    of a comparison as a (coefficient vector, constant) pair."""
+
+    def __init__(self, text: str, side):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.what = what
+        self.side = side
         self.depth = 0  # open '!' and '(' levels, capped at MAX_NESTING
 
     def peek(self) -> _Tok:
@@ -686,16 +690,24 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def rational(self) -> Fraction:
+        """Take a number token and read it as a rational."""
+        tok = self.take("num")
+        try:
+            return parse_rat(tok.text)
+        except UsageError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
+
 
 def parse_constructible(text: str) -> ConstructibleSet:
     """Parse the expression DSL: header ``dim n;`` then a Boolean formula."""
-    p = _Parser(text)
-    p.take("dim")
+    p = _Parser(text, _parse_linsum)
+    p.take(text="dim")
     ntok = p.take("num")
     if "/" in ntok.text:
         raise ParseError("ambient dimension must be an integer", ntok.line, ntok.col)
     n = parse_ambient(ntok.text)
-    p.take("punct", ";")
+    p.take(text=";")
     expr = _parse_or(p, n)
     tok = p.peek()
     if tok.kind != "eof":
@@ -743,7 +755,7 @@ def _parse_unary(p: _Parser, n: int) -> Expr:
         out = Not(_parse_unary(p, n))
     else:
         out = _parse_or(p, n)
-        p.take("punct", ")")
+        p.take(text=")")
     p.depth -= 1
     return out
 
@@ -763,26 +775,17 @@ def _parse_linsum(p: _Parser, n: int):
             break
         tok = p.peek()
         if tok.kind == "num":
-            p.take()
-            value = parse_rat(tok.text)
-            if p.peek().text == "*":
+            value = p.rational()
+            star = p.peek().text == "*"
+            if star:
                 p.take()
-                vtok = p.take("var")
-                idx = int(vtok.text[1:])
-                _check_var(idx, n, vtok)
-                coeffs[idx - 1] += sgn * value
-            elif p.peek().kind == "var":
-                vtok = p.take("var")
-                idx = int(vtok.text[1:])
-                _check_var(idx, n, vtok)
-                coeffs[idx - 1] += sgn * value
+            if star or p.peek().kind == "var":
+                coeffs[_var_index(p.take("var"), n)] += sgn * value
             else:
                 const += sgn * value
         elif tok.kind == "var":
             p.take()
-            idx = int(tok.text[1:])
-            _check_var(idx, n, tok)
-            coeffs[idx - 1] += sgn
+            coeffs[_var_index(tok, n)] += sgn
         else:
             raise ParseError(f"expected a term, found {tok.text!r}",
                              tok.line, tok.col)
@@ -793,16 +796,20 @@ def _parse_linsum(p: _Parser, n: int):
     return coeffs, const
 
 
-def _check_var(idx, n, tok):
-    if not 1 <= idx <= n:
-        raise ParseError(f"variable x{idx} outside x1..x{n}", tok.line, tok.col)
+def _var_index(tok: _Tok, n: int) -> int:
+    """The 0-based slot of a variable token xi; i must lie in 1..n.  The
+    length test keeps int() away from an arbitrarily long index."""
+    digits = tok.text[1:].lstrip("0") or "0"
+    if len(digits) > len(str(n)) or not 1 <= int(digits) <= n:
+        shown = digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
+        raise ParseError(f"variable x{shown} outside x1..x{n}", tok.line, tok.col)
+    return int(digits) - 1
 
 
 def _parse_atom(p: _Parser, n: int) -> Expr:
-    tok = p.peek()
-    lhs_c, lhs_k = _parse_linsum(p, n)
+    lhs_c, lhs_k = p.side(p, n)
     op = p.take("op")
-    rhs_c, rhs_k = _parse_linsum(p, n)
+    rhs_c, rhs_k = p.side(p, n)
     a = [l - r for l, r in zip(lhs_c, rhs_c)]
     c = rhs_k - lhs_k  # a·x >= c (for >=-type ops)
     if op.text in ("<=", "<"):

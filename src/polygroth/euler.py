@@ -32,7 +32,6 @@ from .constructible import (
     ConstructibleSet,
     cell_complex,
     complex_of,
-    from_polyhedron,
     hyperplanes_of,
     sign_membership,
 )
@@ -171,11 +170,3 @@ def chi_polyhedron_closed_form(P: HPolyhedron) -> EulerPair:
         return EulerPair((-1) ** rd.ell, 1)
     return EulerPair(0, 1)
 
-
-def euler_pair_of_polyhedron(P: HPolyhedron,
-                             max_hyperplanes: int = DEFAULT_MAX_HYPERPLANES) -> EulerPair:
-    """Euler pair of a polyhedron through the cell oracle (not the closed
-    form); empty input allowed."""
-    if is_empty(P):
-        return EulerPair(0, 0)
-    return euler_pair(from_polyhedron(P), max_hyperplanes)

@@ -13,6 +13,7 @@ Decimal notation is never accepted.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -45,13 +46,22 @@ def parse_rat(text: str) -> Fraction:
     m = _RAT_RE.match(text.strip())
     if m is None:
         raise UsageError(f"bad rational literal {text!r} (use p, -p or p/q with q > 0)")
-    num = int(m.group(1))
-    den = m.group(2)
-    if den is None:
-        return Fraction(num)
-    if int(den) == 0:
+    num = parse_int(m.group(1))
+    den = parse_int(m.group(2) or "1")
+    if den == 0:
         raise UsageError(f"bad rational literal {text!r}: zero denominator")
-    return Fraction(num, int(den))
+    return Fraction(num, den)
+
+
+def parse_int(text: str) -> int:
+    """``int(text)``, with a UsageError for a numeral longer than the
+    interpreter converts (4300 digits by default)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = len(text.lstrip("+-"))
+    if limit and digits > limit:
+        raise UsageError(f"numeric literal of {digits} digits exceeds the "
+                         f"{limit}-digit limit")
+    return int(text)
 
 
 def format_rat(q: Fraction) -> str:

@@ -9,17 +9,19 @@ graded class by substituting v -> L - 1 and u -> 1 - tau (per coordinate).
 The volume map psi sends tau to 1, i.e. forgets the second component; its
 kernel is exactly the multiples of tau - 1, which the division helper
 exhibits constructively.
+
+A comparison of valuations is a linear atom on valuation coordinates, so
+the valuation DSL is read by ``constructible``'s recursive descent with
+its own reader for one side of a comparison.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructible import ConstructibleSet, parse_constructible
+from .constructible import ConstructibleSet, _Parser, _parse_or, _var_index
 from .errors import FragmentError, InvariantError, ParseError, UsageError
-from .exactq import parse_rat
 from .grothendieck import GradedClass, class_of
 from .polyhedron import parse_ambient
 
@@ -228,14 +230,6 @@ def vf_tau() -> VFClass:
     return VFClass(IntPoly.const(1), IntPoly.x())
 
 
-def vf_add(x: VFClass, y: VFClass) -> VFClass:
-    return x + y
-
-
-def vf_mul(x: VFClass, y: VFClass) -> VFClass:
-    return x * y
-
-
 def vf_from_graded(x: GradedClass) -> VFClass:
     """Substitute v -> L - 1 and u -> 1 - tau into a graded class.
 
@@ -302,48 +296,15 @@ def kernel_factor(x: VFClass) -> VFClass:
 
 
 # ---------------------------------------------------------------------------
-# the val-inequality DSL
+# the valuation DSL
 #
 #   torus 2;
 #   val(x1^2) > val(t * x2) & val(x2) >= 0;
 #   point;
 #
-# Atoms compare valuations of monomials in t and the torus coordinates;
-# each `point;` statement adjoins one disjoint rational point.
-
-
-_MONO_FACTOR = re.compile(r"^(t|x(\d+))(?:\^(-?\d+(?:/\d+)?))?$")
-
-
-def _parse_monomial(text: str, n: int, line: int, col: int):
-    """Return (exponent vector over x1..xn, exponent of t)."""
-    expo = [Fraction(0)] * n
-    tpow = Fraction(0)
-    for raw in text.split("*"):
-        piece = raw.strip()
-        if not piece:
-            raise ParseError("empty factor in monomial", line, col)
-        if any(ch in piece for ch in "+-"):
-            raise FragmentError(
-                "only monomial arguments to val are supported "
-                "(monomial-valuation fragment)", line, col)
-        m = _MONO_FACTOR.match(piece)
-        if m is None:
-            raise FragmentError(
-                f"unsupported factor {piece!r}: only t^q and xi^q are in the "
-                "monomial-valuation fragment", line, col)
-        power = parse_rat(m.group(3)) if m.group(3) else Fraction(1)
-        if m.group(1) == "t":
-            tpow += power
-        else:
-            idx = int(m.group(2))
-            if not 1 <= idx <= n:
-                raise ParseError(f"variable x{idx} outside x1..x{n}", line, col)
-            expo[idx - 1] += power
-    return expo, tpow
-
-
-_VAL_RE = re.compile(r"val\(([^()]*)\)")
+# Atoms compare valuations of monomials in t and the torus coordinates, or
+# rational literals; each `point;` statement adjoins one disjoint rational
+# point.  Tokens and connectives are those of the `dim n;` DSL.
 
 
 def parse_semialg(text: str) -> SemialgDesc:
@@ -353,85 +314,75 @@ def parse_semialg(text: str) -> SemialgDesc:
     (alpha - beta)·w >= r - q over the valuation coordinates w; a bare
     rational stands for its own valuation.
     """
-    statements = [s for s in text.split(";")]
-    if not statements or not statements[0].strip().startswith("torus"):
-        raise ParseError("expected a 'torus n;' header", 1, 1)
-    head = statements[0].strip().split()
-    if len(head) != 2 or not (head[1].isascii() and head[1].isdigit()):
-        raise ParseError("expected a 'torus n;' header", 1, 1)
-    n = parse_ambient(head[1])
+    p = _Parser(text, _parse_val_side)
+    p.take(text="torus")
+    ntok = p.take("num")
+    if not (ntok.text.isascii() and ntok.text.isdigit()):
+        raise ParseError("expected a 'torus n;' header", ntok.line, ntok.col)
+    n = parse_ambient(ntok.text)
+    body = None
     extra_points = 0
-    body_exprs = []
-    for stmt in statements[1:]:
-        s = stmt.strip()
-        if not s:
+    while p.peek().kind != "eof":
+        p.take(text=";")
+        tok = p.peek()
+        if tok.kind == "eof" or tok.text == ";":
             continue
-        if s == "point":
+        if tok.text == "point":
+            p.take()
             extra_points += 1
-            continue
-        body_exprs.append(s)
-    if len(body_exprs) > 1:
-        raise ParseError("at most one body expression is allowed", 1, 1)
-    if body_exprs:
-        body = _translate_body(body_exprs[0], n)
-    else:
-        body = ConstructibleSet.empty(n)
-    return SemialgDesc(n, body, extra_points)
-
-
-def _translate_body(s: str, n: int) -> ConstructibleSet:
-    """Rewrite each val-comparison to a linear atom and reuse the
-    constructible-set parser for the Boolean structure."""
-    pieces = []
-    pos = 0
-    pattern = re.compile(
-        r"(val\([^()]*\)|-?[0-9][0-9/]*)\s*(>=|<=|>|<|=)\s*(val\([^()]*\)|-?[0-9][0-9/]*)")
-    for m in pattern.finditer(s):
-        pieces.append(s[pos:m.start()])
-        lhs, op, rhs = m.group(1), m.group(2), m.group(3)
-        pieces.append(_atom_text(lhs, op, rhs, n))
-        pos = m.end()
-    tail = s[pos:].strip()
-    if "val(" in tail or re.search(r"\d", tail):
-        raise FragmentError(
-            f"could not parse the clause near {tail[:30]!r}: atoms are "
-            "val-comparisons in the monomial-valuation fragment", 1, 1)
-    pieces.append(s[pos:])
-    return parse_constructible(f"dim {n}; {''.join(pieces)}")
-
-
-def _side(text: str, n: int):
-    text = text.strip()
-    if text.startswith("val("):
-        return _parse_monomial(text[4:-1], n, 1, 1)
-    return [Fraction(0)] * n, parse_rat(text)
-
-
-def _atom_text(lhs: str, op: str, rhs: str, n: int) -> str:
-    le, lt = _side(lhs, n)
-    re_, rt = _side(rhs, n)
-    coeffs = [a - b for a, b in zip(le, re_)]
-    const = rt - lt  # coeffs·w >= const, up to the comparison direction
-    if all(c == 0 for c in coeffs):
-        holds = {
-            ">=": lt >= rt, ">": lt > rt, "<=": lt <= rt,
-            "<": lt < rt, "=": lt == rt,
-        }[op]
-        # constant truth: encode as a tautology or contradiction
-        return "0 >= 0" if holds else "0 > 0"
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        frag = f"x{i + 1}" if mag == 1 else f"{_rat_text(mag)}*x{i + 1}"
-        if not terms:
-            terms.append(frag if c > 0 else f"-{frag}")
+        elif body is None:
+            body = ConstructibleSet(n, _parse_or(p, n))
         else:
-            terms.append(f"+ {frag}" if c > 0 else f"- {frag}")
-    return f"({' '.join(terms)} {op} {_rat_text(const)})"
+            raise ParseError("at most one body expression is allowed",
+                             tok.line, tok.col)
+    return SemialgDesc(n, body or ConstructibleSet.empty(n), extra_points)
 
 
-def _rat_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else \
-        f"{q.numerator}/{q.denominator}"
+def _parse_val_side(p: _Parser, n: int):
+    """One side of a comparison: ``val(monomial)`` or a rational literal.
+
+    Returns (exponent vector over x1..xn, exponent of t): val(t^q * x^alpha)
+    is the linear form alpha·w + q on valuation coordinates w.
+    """
+    if p.peek().text == "-":
+        p.take()
+        return [Fraction(0)] * n, -p.rational()
+    if p.peek().text != "val":
+        return [Fraction(0)] * n, p.rational()
+    p.take()
+    p.take(text="(")
+    expo = [Fraction(0)] * (n + 1)  # x1..xn, then t
+    while True:
+        tok = _monomial_peek(p)
+        if tok.kind == "var":
+            slot = _var_index(tok, n)
+        elif tok.text == "t":
+            slot = n
+        elif tok.kind in ("num", "word"):
+            raise FragmentError(
+                f"unsupported factor {tok.text!r}: only t^q and xi^q are in the "
+                "monomial-valuation fragment", tok.line, tok.col)
+        else:
+            raise ParseError(f"expected a factor t^q or xi^q, found {tok.text!r}",
+                             tok.line, tok.col)
+        p.take()
+        if p.peek().text == "^":
+            p.take()
+            _monomial_peek(p)
+            expo[slot] += p.rational()
+        else:
+            expo[slot] += 1
+        if _monomial_peek(p).text != "*":
+            break
+        p.take()
+    p.take(text=")")
+    return expo[:n], expo[n]
+
+
+def _monomial_peek(p: _Parser):
+    """The next token inside val(...), which may not be a sign."""
+    tok = p.peek()
+    if tok.text in ("+", "-"):  # a sum, or a negative exponent
+        raise FragmentError("only monomial arguments to val are supported "
+                            "(monomial-valuation fragment)", tok.line, tok.col)
+    return tok

@@ -27,6 +27,7 @@ from .exactq import (
     lp_optimize,
     mat_rank,
     nullspace,
+    parse_int,
     parse_rat,
     primitive_normalize,
     vec,
@@ -525,11 +526,10 @@ def parse_polyhedron(text: str, ambient: Optional[int] = None) -> HPolyhedron:
             raise ParseError(
                 f"expected {n} coefficients, got {len(coeffs)}", lineno, 1)
         try:
-            a = [int(t) for t in coeffs]
+            a = [parse_int(t) for t in coeffs]
+            b = parse_rat(tokens[-1])
         except ValueError:
             raise ParseError("coefficients must be integers", lineno, 1) from None
-        try:
-            b = parse_rat(tokens[-1])
         except UsageError as exc:
             raise ParseError(str(exc), lineno, 1) from None
         rows.append((tuple(a), b))

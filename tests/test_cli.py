@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from polygroth.cli import main
 
@@ -266,6 +267,39 @@ def test_nesting_depth_capped(capsys):
     deep = "(" * 50 + "!" * 50 + "x1 >= 0" + ")" * 50
     code, out, _ = run_cli(capsys, "chi", "-e", f"dim 1; {deep}")
     assert code == 0 and out == "chi=0 chi_b=1\n"
+
+
+LONG = "1" * 5000  # past Python's 4300-digit int-string conversion limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts numerals of any length")
+@pytest.mark.parametrize("argv", [
+    ["chi", "-e", f"dim 1; x1 >= {LONG}"],
+    ["chi", "-e", f"dim 1; x{LONG} >= 0"],
+    ["bg", "-e", f"1 >= {LONG}"],
+    ["bg", "-e", f"{LONG} >= 0"],
+    ["tangent", "--point", LONG, "-e", "1 >= 0"],
+    ["chi-gamma", "--gamma", LONG, "-e", "dim 1; x1 >= 0"],
+    ["motivic", "-e", f"torus 1; val(x1^{LONG}) >= 0;"],
+], ids=["constant", "variable", "offset", "coefficient", "point", "gamma",
+        "exponent"])
+def test_overlong_literal_is_one_line_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "5000 digits" in err
+
+
+def test_motivic_errors_name_their_line_and_column(capsys):
+    code, out, err = run_cli(capsys, "motivic", "-e",
+                             "torus 1; val(x1) >= 0 &\n val(x2) >= 0;")
+    assert code == 2 and out == ""
+    assert err == ("polygroth: parse error: line 2, col 6: "
+                   "variable x2 outside x1..x1\n")
+    # linear text outside val(...) is not part of the valuation DSL
+    code, out, err = run_cli(capsys, "motivic", "-e",
+                             "torus 1; x1 - 3 >= 0 & -x1 + 2 >= 0;")
+    assert code == 2 and out == "" and "line 1, col 10" in err
 
 
 def test_stdout_write_error_exit_code(capsys, monkeypatch):

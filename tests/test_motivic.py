@@ -19,8 +19,6 @@ from polygroth.motivic import (
     semialg_class,
     theta_trop_class,
     vf_L,
-    vf_add,
-    vf_mul,
     vf_one,
     vf_tau,
     vf_zero,
@@ -79,8 +77,8 @@ def test_L_times_tau():
 
 def test_one_is_identity():
     x = vf_L() * 3 - vf_tau() + 2
-    assert vf_mul(vf_one(), x) == x
-    assert vf_add(vf_zero(), x) == x
+    assert vf_one() * x == x
+    assert vf_zero() + x == x
 
 
 def brute_force_reduce(coeffs):
@@ -320,3 +318,97 @@ def test_open_vs_closed_ball_kernel_elements():
     one = vf_one()
     assert psi(semialg_class(open_ball) - one) == IntPoly()
     assert psi(semialg_class(closed_ball) - one) == IntPoly((-1, 1))  # L - 1
+
+
+# -- the DSL against the dim n; reader -------------------------------------------------
+#
+# A random Boolean tree over comparisons of sides (e, s) is rendered twice:
+# as val(t^s * x^e) text and as the linear text e·x + s.  Both readers share
+# the Boolean grammar and _parse_atom, so the trees must be equal.
+
+_COMPARISONS = (">=", ">", "<=", "<", "=")
+
+
+def _random_rat(rng, lo, hi):
+    den = rng.choice((1, 2, 3, 4))
+    return F(rng.randint(lo * den, hi * den), den)
+
+
+def _random_side(rng, n):
+    expo = [_random_rat(rng, 0, 3) if rng.random() < 0.5 else F(0) for _ in range(n)]
+    if not any(expo) and rng.random() < 0.5:  # a bare rational literal
+        return expo, _random_rat(rng, -3, 3), True
+    return expo, _random_rat(rng, 0, 3) if rng.random() < 0.5 else F(0), False
+
+
+def _random_tree(rng, n, depth=3):
+    roll = rng.random() if depth else 1.0
+    if roll < 0.15:
+        return ("!", _random_tree(rng, n, depth - 1))
+    if roll < 0.3:
+        return ("()", _random_tree(rng, n, depth - 1))
+    if roll < 0.6:
+        return (rng.choice(("&", "|", "\\")), _random_tree(rng, n, depth - 1),
+                _random_tree(rng, n, depth - 1))
+    return _random_side(rng, n), rng.choice(_COMPARISONS), _random_side(rng, n)
+
+
+def _val_text(side):
+    expo, tpow, literal = side
+    if literal:
+        return str(tpow)
+    factors = [f"t^{tpow}"] if tpow else []
+    factors += [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                for i, e in enumerate(expo) if e]
+    return f"val({' * '.join(factors) or 't^0'})"
+
+
+def _lin_text(side):
+    expo, const, _ = side
+    text = " + ".join(f"{e}*x{i + 1}" for i, e in enumerate(expo) if e) or "0"
+    return f"{text} - {-const}" if const < 0 else f"{text} + {const}"
+
+
+def _render(tree, side_text):
+    if len(tree) == 2:
+        inner = _render(tree[1], side_text)
+        return f"!{inner}" if tree[0] == "!" else f"({inner})"
+    if isinstance(tree[0], tuple):  # a comparison of two sides
+        lhs, op, rhs = tree
+        return f"{side_text(lhs)} {op} {side_text(rhs)}"
+    op, left, right = tree
+    return f"{_render(left, side_text)} {op} {_render(right, side_text)}"
+
+
+def test_valuation_dsl_reads_like_linear_atoms():
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        tree = _random_tree(rng, n)
+        points = rng.randint(0, 2)
+        statements = ["point"] * points + [_render(tree, _val_text)]
+        rng.shuffle(statements)
+        S = parse_semialg(f"torus {n};\n" + ";\n".join(statements) + ";")
+        assert S.n == n and S.extra_points == points
+        assert S.body == parse_constructible(f"dim {n}; {_render(tree, _lin_text)}")
+
+
+def test_parse_semialg_reports_the_line_of_the_fault():
+    with pytest.raises(ParseError) as info:
+        parse_semialg("torus 1; val(x1) >= 0 &\n val(x2) >= 0;")
+    assert (info.value.line, info.value.col) == (2, 6)
+    assert "x2 outside x1..x1" in str(info.value)
+
+
+def test_parse_semialg_rejects_linear_text_outside_val():
+    with pytest.raises(ParseError) as info:
+        parse_semialg("torus 1; x1 - 3 >= 0 & -x1 + 2 >= 0;")
+    assert (info.value.line, info.value.col) == (1, 10)
+
+
+def test_parse_semialg_exponent_forms():
+    for text in ("torus 1; val(x1^-1) >= 0;", "torus 1; val(x1^-1/2 * t^3) >= 0;"):
+        with pytest.raises(FragmentError):
+            parse_semialg(text)
+    S = parse_semialg("torus 1; val(x1 ^ 2) >= val( t ^ 1/2 );")
+    assert eval_point(S.body, [F(1, 4)]) and not eval_point(S.body, [F(1, 5)])
